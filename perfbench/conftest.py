@@ -1,0 +1,9 @@
+"""Path set-up for the benchmark's own tests: ``python -m pytest perfbench``."""
+
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
