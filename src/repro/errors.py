@@ -76,25 +76,6 @@ class ShardWorkerLost(SimulationError):
     """
 
 
-class SamplingConfigError(ConfigError):
-    """Invalid or unsupported sampled-execution configuration.
-
-    Raised when ``--sampled`` is combined with a feature the sampled
-    executor cannot honour (telemetry hubs, intra-run sharding) or when
-    a plan parameter is out of range. ``details`` names the offending
-    combination.
-    """
-
-
-class SamplingError(ReproError):
-    """The sampled executor reached an inconsistent state.
-
-    Raised when a restored checkpoint does not replay to the measured
-    interval's boundary (the bit-identical-continuation contract broke)
-    or when a profile is internally inconsistent with its checkpoints.
-    """
-
-
 class WorkloadError(ReproError):
     """Invalid workload specification."""
 

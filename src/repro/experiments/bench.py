@@ -359,138 +359,3 @@ def run_telemetry_bench(
         },
         "provenance": collect_provenance(),
     }
-
-
-#: Configuration the sampled bench measures (the figure-2 baseline cells).
-SAMPLED_BENCH_CONFIG = "base"
-
-#: The two L1 sizes of every figure-2 point: the experiment default and
-#: the paper's effectively-infinite 32 MB cache.
-SAMPLED_BENCH_L1_CELLS: tuple[tuple[str, Optional[int]], ...] = (
-    ("small", None),
-    ("l1_32mb", 32 * 1024 * 1024),
-)
-
-
-def run_sampled_bench(
-    scale: float = DEFAULT_SCALE,
-    apps: Sequence[str] = DEFAULT_FIGURE2_APPS,
-    plan: Optional[Any] = None,
-    config: str = SAMPLED_BENCH_CONFIG,
-) -> dict[str, Any]:
-    """Sampled estimator vs full simulation on the figure-2 point set.
-
-    For every (app, L1 size) cell the full run is the ground truth; the
-    sampled estimator is then timed twice against a *fresh* profile store
-    — cold (profiling pass included, the price of the first sampled run
-    of a spec) and warm (profile reused, the price of every run after it).
-    The accuracy columns are measured, not assumed: per-cell signed IPC
-    error against the full run, the estimator's own error bar, and
-    whether the bar covered the actual error. The headline gates — worst
-    IPC error and minimum detailed-cycle reduction — are what CI enforces.
-    """
-    import tempfile
-
-    from repro.experiments.configs import experiment_gpu_config
-    from repro.registry.provenance import collect_provenance
-    from repro.sampling import ProfileStore, SamplingPlan, sampled_run
-    from repro.sampling.executor import verify_estimate
-
-    plan = plan or SamplingPlan()
-    small_cfg = experiment_gpu_config()
-    cells = [(label, small_cfg if l1 is None else small_cfg.with_l1_size(l1))
-             for label, l1 in SAMPLED_BENCH_L1_CELLS]
-
-    workloads: dict[str, Any] = {}
-    full_wall = cold_wall = warm_wall = 0.0
-    full_cycles = detailed_cycles = 0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with tempfile.TemporaryDirectory() as store_root:
-            store = ProfileStore(store_root)
-            for app in apps:
-                for label, cfg in cells:
-                    key = f"{app}/{label}"
-                    clear_cache()
-                    started = time.perf_counter()
-                    full = run(app, config, scale=scale, gpu_config=cfg)
-                    t_full = time.perf_counter() - started
-
-                    started = time.perf_counter()
-                    sim, info = sampled_run(app, config, scale, cfg, plan,
-                                            store=store)
-                    t_cold = time.perf_counter() - started
-                    started = time.perf_counter()
-                    sim, info = sampled_run(app, config, scale, cfg, plan,
-                                            store=store)
-                    t_warm = time.perf_counter() - started
-
-                    problems = verify_estimate(info)
-                    if problems:
-                        raise RuntimeError(
-                            f"sampled estimate failed self-check for {key}: "
-                            + "; ".join(problems))
-
-                    full_ipc = full.sim.stats.ipc
-                    est_ipc = info["estimates"]["ipc"]
-                    err = est_ipc - full_ipc
-                    err_pct = 100.0 * err / full_ipc if full_ipc else 0.0
-                    bar_pct = 100.0 * info["error_bars_rel"]["ipc"]
-                    workloads[key] = {
-                        "workload": app,
-                        "l1": label,
-                        "full": {
-                            "cycles": full.sim.stats.cycles,
-                            "ipc": full_ipc,
-                            "wall_s": t_full,
-                        },
-                        "sampled": {
-                            "ipc": est_ipc,
-                            "detailed_cycles": info["detailed_cycles"],
-                            "total_cycles": info["total_cycles"],
-                            "clusters": info["clusters"],
-                            "intervals": info["profile"]["intervals"],
-                            "wall_s_cold": t_cold,
-                            "wall_s_warm": t_warm,
-                            "error_bars": dict(info["error_bars"]),
-                        },
-                        "ipc_err_pct": err_pct,
-                        "ipc_bar_pct": bar_pct,
-                        "covered": abs(err_pct) <= bar_pct,
-                        "cycle_reduction": info["cycle_reduction"],
-                    }
-                    full_wall += t_full
-                    cold_wall += t_cold
-                    warm_wall += t_warm
-                    full_cycles += info["total_cycles"]
-                    detailed_cycles += info["detailed_cycles"]
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    errs = [abs(cell["ipc_err_pct"]) for cell in workloads.values()]
-    reductions = [cell["cycle_reduction"] for cell in workloads.values()]
-    return {
-        "schema": "bench.sampled_speed/1",
-        "scale": scale,
-        "config": config,
-        "plan": {"tag": plan.identity_tag, **plan.identity()},
-        "apps": list(apps),
-        "workloads": workloads,
-        "totals": {
-            "num_points": len(workloads),
-            "max_ipc_err_pct": max(errs) if errs else 0.0,
-            "min_cycle_reduction": min(reductions) if reductions else 0.0,
-            "overall_cycle_reduction": (
-                full_cycles / detailed_cycles if detailed_cycles else 0.0),
-            "full_wall_s": full_wall,
-            "sampled_wall_s_cold": cold_wall,
-            "sampled_wall_s_warm": warm_wall,
-            "sampled_speedup_warm": (
-                full_wall / warm_wall if warm_wall > 0 else 0.0),
-            "all_bars_cover_error": all(
-                cell["covered"] for cell in workloads.values()),
-        },
-        "provenance": collect_provenance(),
-    }

@@ -179,9 +179,6 @@ class PointTask:
     #: Resolved shard plan for this point (pool workers don't inherit the
     #: parent's process-wide default, so it rides along explicitly).
     shard_plan: Any = None
-    #: Resolved sampling plan for this point, shipped explicitly for the
-    #: same reason as ``shard_plan``.
-    sampling_plan: Any = None
 
 
 def _run_point_task(task: PointTask) -> tuple[int, dict]:
@@ -207,7 +204,6 @@ def _run_point_task(task: PointTask) -> tuple[int, dict]:
         telemetry_window=task.telemetry_window,
         heartbeat_sink=sink,
         shard_plan=task.shard_plan,
-        sampling_plan=task.sampling_plan,
     )
     return task.index, record
 
@@ -273,14 +269,13 @@ def run_point_tasks(
 def _prewarm_worker(item: tuple):
     from repro.experiments.runner import run
 
-    point, shard_plan, sampling_plan = item
+    point, shard_plan = item
     workload, config_name, scale, gpu_config = point
     return point, run(workload, config_name, scale, gpu_config,
-                      shard_plan=shard_plan, sampling_plan=sampling_plan)
+                      shard_plan=shard_plan)
 
 
-def prewarm(points: Iterable[RunPoint], jobs: int, shard_plan=None,
-            sampling_plan=None) -> int:
+def prewarm(points: Iterable[RunPoint], jobs: int, shard_plan=None) -> int:
     """Simulate runner points in a pool and seed the in-process run cache.
 
     Returns how many points were actually simulated (already-cached and
@@ -291,20 +286,16 @@ def prewarm(points: Iterable[RunPoint], jobs: int, shard_plan=None,
     deterministic, so a worker-produced result is indistinguishable from
     a local one.
 
-    ``shard_plan`` and ``sampling_plan`` default to the process-wide
-    plans installed by the CLI's ``--shards``/``--sampled``; pool workers
-    don't inherit that module state, so the resolved plans ship with each
-    work item. The ``--jobs`` budget rule is enforced again here (defence
-    in depth): pool workers may only shard in-process. Sampled prewarm
-    workers share profiles through the on-disk profile store, so a
-    profile built by one worker serves every later consumer.
+    ``shard_plan`` defaults to the process-wide plan installed by the
+    CLI's ``--shards``; pool workers don't inherit that module state, so
+    the resolved plan ships with each work item. The ``--jobs`` budget
+    rule is enforced again here (defence in depth): pool workers may only
+    shard in-process.
     """
     from repro.errors import ShardConfigError
     from repro.experiments import runner
 
     plan = shard_plan if shard_plan is not None else runner.default_shard_plan()
-    splan = (sampling_plan if sampling_plan is not None
-             else runner.default_sampling_plan())
     if plan is not None and jobs > 1 and plan.worker_processes():
         raise ShardConfigError(
             f"--jobs {jobs} already owns the process budget; prewarm "
@@ -314,10 +305,9 @@ def prewarm(points: Iterable[RunPoint], jobs: int, shard_plan=None,
     todo: list[RunPoint] = []
     seen: set[tuple] = set()
     for point in points:
-        key = runner.cache_key(point[0], point[1], point[2], point[3], plan,
-                               splan)
+        key = runner.cache_key(point[0], point[1], point[2], point[3], plan)
         if key in seen or runner.is_cached(
-                point[0], point[1], point[2], point[3], plan, splan):
+                point[0], point[1], point[2], point[3], plan):
             continue
         seen.add(key)
         todo.append(point)
@@ -326,13 +316,13 @@ def prewarm(points: Iterable[RunPoint], jobs: int, shard_plan=None,
     if jobs <= 1 or len(todo) == 1:
         for workload, config_name, scale, gpu_config in todo:
             runner.run(workload, config_name, scale, gpu_config,
-                       shard_plan=plan, sampling_plan=splan)
+                       shard_plan=plan)
         return len(todo)
     with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
         for point, result in pool.map(
-                _prewarm_worker, [(p, plan, splan) for p in todo]):
+                _prewarm_worker, [(p, plan) for p in todo]):
             runner.seed_cache(point[0], point[1], point[2], point[3],
-                              result, plan, splan)
+                              result, plan)
     return len(todo)
 
 

@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.config import GPUConfig
 from repro.experiments.configs import CONFIGS, experiment_gpu_config
-from repro.sampling import SamplingPlan, reject_unsupported, sampled_run
 from repro.shard import ShardPlan, shard_execute
 from repro.sm.simulator import SimulationResult, simulate
 from repro.stats.energy import EnergyModel, EnergyReport
@@ -45,11 +44,6 @@ class RunResult:
     #: Shard drift/attempt report when the point ran under ``--shards``
     #: (see :func:`repro.shard.shard_execute`); ``None`` for serial runs.
     shard_info: Optional[dict] = None
-    #: Selection/weights/error-bar report when the point ran under
-    #: ``--sampled`` (see :func:`repro.sampling.sampled_run`); ``None``
-    #: for full detailed runs. Its presence marks ``sim`` as a weighted
-    #: estimate rather than an exact simulation.
-    sampling_info: Optional[dict] = None
 
     @property
     def ipc(self) -> float:
@@ -82,29 +76,6 @@ def default_shard_plan() -> Optional[ShardPlan]:
 
 def _effective_plan(shard_plan) -> Optional[ShardPlan]:
     return _DEFAULT_SHARD_PLAN if shard_plan is _PLAN_UNSET else shard_plan
-
-
-#: Process-wide default sampling plan, set once by the CLI (``--sampled``)
-#: so figure/scorecard producers inherit sampled execution the same way
-#: they inherit intra-run sharding.
-_DEFAULT_SAMPLING_PLAN: Optional[SamplingPlan] = None
-
-
-def set_default_sampling_plan(plan: Optional[SamplingPlan]) -> None:
-    """Install (or clear, with ``None``) the process-wide sampling plan."""
-    global _DEFAULT_SAMPLING_PLAN
-    _DEFAULT_SAMPLING_PLAN = plan
-
-
-def default_sampling_plan() -> Optional[SamplingPlan]:
-    """The process-wide sampling plan, or ``None`` (full detailed runs)."""
-    return _DEFAULT_SAMPLING_PLAN
-
-
-def _effective_sampling_plan(sampling_plan) -> Optional[SamplingPlan]:
-    if sampling_plan is _PLAN_UNSET:
-        return _DEFAULT_SAMPLING_PLAN
-    return sampling_plan
 
 
 #: Default LRU capacity; override via $REPRO_RUN_CACHE_SIZE or set_cache_limit.
@@ -140,26 +111,19 @@ def cache_key(
     scale: float,
     gpu_config: Optional[GPUConfig] = None,
     shard_plan=_PLAN_UNSET,
-    sampling_plan=_PLAN_UNSET,
 ) -> tuple:
     """The memoisation key :func:`run` would use for these arguments.
 
     Bit-exact shard plans (lock-step ``E=1``) and serial execution share
     one key — their results are identical by construction — while
     relaxed plans append their identity tag so drifted statistics never
-    masquerade as serial ones. A sampling plan always appends its tag:
-    a sampled estimate must never replay as a full-run cache hit, nor a
-    full run as a sampled one, and plans with different parameters are
-    different estimators.
+    masquerade as serial ones.
     """
     key = (workload_abbr, config_name, scale,
            gpu_config or experiment_gpu_config())
     plan = _effective_plan(shard_plan)
     if plan is not None and not plan.bit_exact:
         key += (plan.identity_tag,)
-    splan = _effective_sampling_plan(sampling_plan)
-    if splan is not None:
-        key += (splan.identity_tag,)
     return key
 
 
@@ -169,12 +133,10 @@ def is_cached(
     scale: float,
     gpu_config: Optional[GPUConfig] = None,
     shard_plan=_PLAN_UNSET,
-    sampling_plan=_PLAN_UNSET,
 ) -> bool:
     """True when :func:`run` with these arguments would be a cache hit."""
     return cache_key(
         workload_abbr, config_name, scale, gpu_config, shard_plan,
-        sampling_plan,
     ) in _CACHE
 
 
@@ -185,7 +147,6 @@ def seed_cache(
     gpu_config: Optional[GPUConfig],
     result: RunResult,
     shard_plan=_PLAN_UNSET,
-    sampling_plan=_PLAN_UNSET,
 ) -> None:
     """Install a result computed elsewhere (e.g. a pool worker) into the cache.
 
@@ -195,8 +156,7 @@ def seed_cache(
     knowing parallelism exists. Simulation is deterministic, so a seeded
     result is indistinguishable from one computed in-process.
     """
-    key = cache_key(workload_abbr, config_name, scale, gpu_config, shard_plan,
-                    sampling_plan)
+    key = cache_key(workload_abbr, config_name, scale, gpu_config, shard_plan)
     _CACHE[key] = result
     while len(_CACHE) > _cache_max:
         _CACHE.popitem(last=False)
@@ -210,7 +170,6 @@ def run(
     telemetry=None,
     shard_plan=_PLAN_UNSET,
     shard_supervisor=None,
-    sampling_plan=_PLAN_UNSET,
 ) -> RunResult:
     """Simulate one workload under one named configuration (memoised).
 
@@ -225,23 +184,13 @@ def run(
     hubs combine with shard plans since the distributed-telemetry merge:
     lanes record into per-lane buffers and the parent merges them into
     the hub at every epoch barrier (see :mod:`repro.shard.telemetry`).
-
-    ``sampling_plan`` switches the point to the sampled executor
-    (default: the process-wide plan installed by the CLI's ``--sampled``;
-    pass ``None`` explicitly to force a full detailed run). Sampled runs
-    reject telemetry hubs and shard plans — see
-    :func:`repro.sampling.reject_unsupported`.
     """
     if config_name not in CONFIGS:
         known = ", ".join(sorted(CONFIGS))
         raise ValueError(f"unknown config {config_name!r}; known: {known}")
     plan = _effective_plan(shard_plan)
-    splan = _effective_sampling_plan(sampling_plan)
-    if splan is not None:
-        reject_unsupported(splan, telemetry=telemetry is not None,
-                           sharded=plan is not None)
     cfg = gpu_config or experiment_gpu_config()
-    key = cache_key(workload_abbr, config_name, scale, cfg, plan, splan)
+    key = cache_key(workload_abbr, config_name, scale, cfg, plan)
     if telemetry is None:
         cached = _CACHE.get(key)
         if cached is not None:
@@ -251,26 +200,21 @@ def run(
         get_registry().counter("registry.cache.misses").inc()
 
     shard_info = None
-    sampling_info = None
-    if splan is not None:
-        sim, sampling_info = sampled_run(
-            workload_abbr, config_name, scale, cfg, splan)
+    spec = workload(workload_abbr)
+    kernel = build_kernel(spec, scale)
+    engine = CONFIGS[config_name]
+    if plan is None:
+        sim = simulate(kernel, cfg, engine.build, telemetry=telemetry)
     else:
-        spec = workload(workload_abbr)
-        kernel = build_kernel(spec, scale)
-        engine = CONFIGS[config_name]
-        if plan is None:
-            sim = simulate(kernel, cfg, engine.build, telemetry=telemetry)
-        else:
-            sim, shard_info = shard_execute(
-                kernel, cfg, engine.build, plan, supervisor=shard_supervisor,
-                telemetry=telemetry,
-            )
+        sim, shard_info = shard_execute(
+            kernel, cfg, engine.build, plan, supervisor=shard_supervisor,
+            telemetry=telemetry,
+        )
     energy = EnergyModel().report(
         sim.stats, apres_events=sim.engine_events, num_sms=cfg.num_sms
     )
     result = RunResult(workload_abbr, config_name, sim, energy,
-                       shard_info=shard_info, sampling_info=sampling_info)
+                       shard_info=shard_info)
     if telemetry is None:
         _CACHE[key] = result
         while len(_CACHE) > _cache_max:

@@ -220,13 +220,6 @@ def run_record(result: Any, scale: float, gpu_config: Any, *,
     }
     if engine_tag is not None:
         identity["engine"] = engine_tag
-    sampling_info = getattr(result, "sampling_info", None)
-    if sampling_info is not None:
-        # A sampled run is an *estimator*, not a simulation: its plan
-        # joins the identity so sampled estimates get their own run_id
-        # lineage and can never replay as full-run results (or vice
-        # versa — full runs lack the block entirely).
-        identity["sampling"] = dict(sampling_info.get("plan") or {})
     stats = result.sim.stats
     metrics = flatten_metrics(stats.as_dict())
     metrics["ipc"] = stats.ipc
@@ -237,10 +230,6 @@ def run_record(result: Any, scale: float, gpu_config: Any, *,
         # Only relaxed plans annotate: a lock-step run's record must stay
         # byte-comparable to (and filed under the same run_id as) serial.
         data["shard"] = dict(shard_info)
-    if sampling_info is not None:
-        # Full block (weights, representatives, error bars) rides in the
-        # payload so diff can honour the estimate's uncertainty.
-        data["sampling"] = dict(sampling_info)
     return _record(
         "run",
         f"{result.workload}|{result.config_name}",
@@ -268,9 +257,7 @@ def sweep_point_identity(
 
     A relaxed shard plan stamps ``provenance["engine"]`` (see
     :func:`run_record`); carrying it into the identity keeps drifted
-    sweep results out of the serial memo lineage. A sampling plan stamps
-    ``provenance["sampling"]`` the same way, so sampled sweep estimates
-    never replay as full-run memo hits and vice versa.
+    sweep results out of the serial memo lineage.
     """
     identity = {
         "workload": workload,
@@ -284,9 +271,6 @@ def sweep_point_identity(
     engine = provenance.get("engine")
     if engine:
         identity["engine"] = engine
-    sampling = provenance.get("sampling")
-    if sampling:
-        identity["sampling"] = sampling
     return identity
 
 
@@ -376,26 +360,6 @@ def bench_record(payload: Mapping[str, Any]) -> RunRecord:
             if "speedup_vs_serial" in totals:
                 metrics[f"{label}_speedup"] = totals["speedup_vs_serial"]
         return _record("bench", "shard_speed", identity, metrics,
-                       data=dict(payload))
-    if str(payload.get("schema", "")).startswith("bench.sampled_speed"):
-        identity = {
-            "bench": "sampled_speed",
-            "scale": payload.get("scale"),
-            "config": payload.get("config"),
-            "plan": payload.get("plan"),
-            "apps": list(payload.get("apps") or []),
-        }
-        metrics = {}
-        for key, cell in (payload.get("workloads") or {}).items():
-            metrics[f"{key}_ipc_err_pct"] = cell.get("ipc_err_pct", 0.0)
-            metrics[f"{key}_cycle_reduction"] = cell.get(
-                "cycle_reduction", 0.0)
-        totals = payload.get("totals") or {}
-        for name in ("max_ipc_err_pct", "min_cycle_reduction",
-                     "overall_cycle_reduction", "sampled_speedup_warm"):
-            if name in totals:
-                metrics[name] = totals[name]
-        return _record("bench", "sampled_speed", identity, metrics,
                        data=dict(payload))
     if str(payload.get("schema", "")).startswith("bench.telemetry_overhead"):
         identity = {

@@ -67,6 +67,21 @@ class TestParser:
         assert args.html == "out.html"
         assert args.from_json == "card.json"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "BFS", "base", "--sampled"],
+        ["sweep", "--out", "sweep.jsonl", "--sampled"],
+        ["figure", "10", "--sampled"],
+        ["scorecard", "--sampled"],
+        ["bench", "--sampled"],
+        ["bench", "--sampled-axis"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+    def test_removed_sampling_flags_are_usage_errors(self, argv, capsys):
+        # A flag left on one parser would parse and then be ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
