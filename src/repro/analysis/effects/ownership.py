@@ -85,6 +85,7 @@ class Analyzer:
             for fname, fir in module.functions.items():
                 self.func_table[(key, fname)] = (module, fir)
         self.field_types: dict[tuple[str, str], TypeRef] = {}
+        self._annotated_fields: set[tuple[str, str]] = set()
         self.param_concrete: dict[tuple[str, str], str] = {}
         self.bindings: dict[tuple[str, str], set[tuple[str, str]]] = {}
         self.own: dict[str, str] = {}
@@ -211,6 +212,11 @@ class Analyzer:
                 for attr, tref in meth.self_ann_fields.items():
                     if tref.direct or tref.elem:
                         self.field_types[(name, attr)] = tref
+        #: Annotations are authoritative: inference never widens them.
+        self._annotated_fields = {
+            key for key, tref in self.field_types.items()
+            if tref.direct in self.classes or tref.elem in self.classes
+        }
 
         for _ in range(8):
             changed = False
@@ -221,6 +227,15 @@ class Analyzer:
         self._build_bindings()
 
     def _infer_field_types(self) -> bool:
+        """Type unannotated fields from every plain assignment to them.
+
+        Assignments that store different classes into one field (the
+        shard lane swaps a recording subclass into the proxy's event
+        queue; the shard coordinator points the L2's telemetry at a
+        capture sink) meet at their common base, exactly like
+        constructor parameters (:meth:`_join_concrete`), so the field
+        resolves the same whichever module the walk visits first.
+        """
         changed = False
         for name, cls in self.classes.items():
             for meth in cls.methods.values():
@@ -231,18 +246,26 @@ class Analyzer:
                     if owner.direct is None or owner.direct not in self.classes:
                         continue
                     key = (owner.direct, write.attr)
-                    existing = self.field_types.get(key)
-                    if existing is not None and (
-                        existing.direct in self.classes
-                        or existing.elem in self.classes
-                    ):
+                    if key in self._annotated_fields:
                         continue
                     tref = self.resolve_tref(write.value, cls, meth)
-                    if (tref.direct in self.classes or tref.elem in self.classes
-                            ) and tref != existing:
-                        self.field_types[key] = tref
+                    if not (tref.direct in self.classes or tref.elem in self.classes):
+                        continue
+                    existing = self.field_types.get(key)
+                    joined = tref if existing is None else TypeRef(
+                        direct=self._join_optional(existing.direct, tref.direct),
+                        elem=self._join_optional(existing.elem, tref.elem),
+                    )
+                    if joined != existing:
+                        self.field_types[key] = joined
                         changed = True
         return changed
+
+    def _join_optional(self, old: Optional[str], new: Optional[str]) -> Optional[str]:
+        """:meth:`_join_concrete` where ``None`` (no evidence) is the identity."""
+        if new is None:
+            return old
+        return self._join_concrete(old, new)
 
     def _infer_concrete_params(self) -> bool:
         """Fill parameter types from concrete arguments at constructor sites."""

@@ -34,8 +34,8 @@ class WarpGroupTable:
 
     def insert(self, warps: frozenset[int]) -> int:
         """Store a group; returns its id. Oldest entry is dropped when full."""
-        bad = sorted(w for w in warps if not 0 <= w < self._num_warps)
-        if bad:
+        if warps and (min(warps) < 0 or max(warps) >= self._num_warps):
+            bad = sorted(w for w in warps if not 0 <= w < self._num_warps)
             raise ValueError(f"warp ids out of range: {bad}")
         if len(self._entries) >= self._capacity:
             self._entries.popitem(last=False)

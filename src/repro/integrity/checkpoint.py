@@ -18,8 +18,9 @@ import pickle
 
 from repro.errors import CheckpointError
 
-#: Bump when the on-disk layout changes incompatibly.
-CHECKPOINT_FORMAT = 1
+#: Bump when the on-disk layout changes incompatibly. Format 2: SMs carry
+#: a quiescence latch and the Last Load Table an LLPC index.
+CHECKPOINT_FORMAT = 2
 
 _MAGIC = "repro-checkpoint"
 

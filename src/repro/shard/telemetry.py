@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.mem.subsystem import EventQueue, SharedL2Core, _L1FillEvent
 from repro.shard.proxy import BoundaryEntry, REQ_STORE
-from repro.telemetry.hub import TelemetryHub
+from repro.telemetry.hub import EventTarget, TelemetryHub
 from repro.telemetry.stalls import STALL_CAUSES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -289,7 +289,7 @@ class _LaneL1View:
         self.mshr_occupancy = 0.0
 
 
-class _CaptureSink:
+class _CaptureSink(EventTarget):
     """Stand-in telemetry target for the parent-held L2/DRAM pair.
 
     The shared side checks ``tel.events`` and calls ``tel.emit`` — this

@@ -7,10 +7,18 @@ queue that blocks further memory issue (a structural hazard) until they
 commit. The LSU reports each load's primary outcome back to the scheduler
 (the signal LAWS acts on) and to the prefetcher, whose candidates are
 issued into the L1 as prefetch fills.
+
+A cycle that offers the scheduler no candidate and commits no replayed
+line *latches* the SM (:attr:`SMCore.latched_until`): until its next
+warp wake-up, a fill releasing an MSHR on its L1, or a completion that
+readies one of its warps, every further cycle would repeat the same
+counter increments and nothing else, so the simulator charges those
+instead of calling :meth:`SMCore.cycle`.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Callable, Optional
 
@@ -36,6 +44,23 @@ from repro.telemetry.events import (
 
 #: Observer invoked for every executed load: ``fn(access, line_hits)``.
 LoadObserver = Callable[[LoadAccess, list[bool]], None]
+
+#: ``latched_until`` of a latched SM that no warp wake-up can end: only a
+#: completion or an MSHR release can.
+NO_WAKE = 1 << 62
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_table(num_warps: int) -> tuple[tuple[IssueCandidate, IssueCandidate], ...]:
+    """Prebuilt ``IssueCandidate`` pairs, indexed ``[warp_id][is_mem]``.
+
+    Candidates are immutable, so every SM with the same warp count shares
+    one table and the issue scan allocates nothing per offered warp.
+    """
+    return tuple(
+        (IssueCandidate(w, False), IssueCandidate(w, True))
+        for w in range(num_warps)
+    )
 
 
 class _WarpMemDone:
@@ -98,6 +123,12 @@ class SMCore:
         "mem_requests_completed",
         "load_observers",
         "_telemetry",
+        "_candidates",
+        "latch_mshrs",
+        "latched_until",
+        "latch_released",
+        "latch_fails",
+        "latch_stalls",
     )
 
     #: MSHR occupancy above which prefetches are dropped.
@@ -146,13 +177,28 @@ class SMCore:
         #: Per-SM telemetry proxy; ``None`` (the default) keeps the issue
         #: loop's instrumentation to one identity test per cycle.
         self._telemetry = None
+        self._candidates = _candidate_table(len(self.warps))
+        self.latch_mshrs = l1.mshrs
+        #: Quiescence latch, armed by an inert :meth:`cycle`: before this
+        #: cycle, while ``latch_mshrs.released_total`` still equals
+        #: ``latch_released``, a cycle would only add 1 to ``idle_cycles``,
+        #: ``latch_fails`` to the L1's ``reservation_fails`` and
+        #: ``latch_stalls`` to ``lsu_structural_stalls``. 0 = not latched.
+        self.latched_until = 0
+        self.latch_released = 0
+        self.latch_fails = 0
+        self.latch_stalls = 0
         scheduler.reset(len(self.warps))
         scheduler.attach_l1(l1)
         prefetcher.reset(len(self.warps))
         l1.eviction_listener = scheduler.notify_eviction
 
     def attach_telemetry(self, proxy) -> None:
-        """Share one per-SM telemetry proxy with the engines and the L1."""
+        """Share one per-SM telemetry proxy with the engines and the L1.
+
+        Stall attribution classifies every idle cycle, so an SM with a
+        proxy attached never latches.
+        """
         self._telemetry = proxy
         self._scheduler.telemetry = proxy
         self._prefetcher.telemetry = proxy
@@ -211,7 +257,9 @@ class SMCore:
         enters the candidate scan (even if it only charges an LSU
         structural stall). The sharded engine's lock-step mode uses this
         to skip inert SMs while reproducing the serial engine's counters
-        bit-for-bit.
+        bit-for-bit. The serial engine skips a wider set — SMs that only
+        retry failing reservations or charge structural stalls too — by
+        the quiescence latch (:attr:`latched_until`).
         """
         if self._replay:
             return True
@@ -248,38 +296,51 @@ class SMCore:
 
     def cycle(self, now: int) -> bool:
         """Advance one cycle; returns True if an instruction was issued."""
+        self.latched_until = 0
         replay = self._replay
-        if replay:
-            self._process_replay(now)
+        committed = self._process_replay(now) if replay else False
         lsu_blocked = len(replay) >= self.LSU_QUEUE_DEPTH
-        tel = self._telemetry
         stats = self._stats
-        # Snapshot the structural-stall counter so the idle branch can tell
-        # MSHR gating apart without any work inside the candidate loop.
-        gate_base = stats.lsu_structural_stalls if tel is not None else 0
 
         candidates = []
         append = candidates.append
+        table = self._candidates
         is_mem_at = self._is_mem_at
+        stalls = 0
+        wake = NO_WAKE
         for w in self.warps:
-            if w.finished or w.outstanding or w.ready_at > now:
+            if w.finished or w.outstanding:
+                continue
+            ready_at = w.ready_at
+            if ready_at > now:
+                if ready_at < wake:
+                    wake = ready_at
                 continue
             is_mem = is_mem_at[w.pc_index]
             if is_mem and lsu_blocked:
-                stats.lsu_structural_stalls += 1
+                stalls += 1
                 continue
-            append(IssueCandidate(w.warp_id, is_mem))
+            append(table[w.warp_id][is_mem])
+        if stalls:
+            stats.lsu_structural_stalls += stalls
         if not candidates:
             stats.idle_cycles += 1
+            tel = self._telemetry
             if tel is not None:
-                tel.on_idle(
-                    self, now, stats.lsu_structural_stalls - gate_base
-                )
+                tel.on_idle(self, now, stalls)
+            elif not committed:
+                # Inert: nothing this cycle did can differ next cycle
+                # until a warp wakes or a fill lands (see module docstring).
+                self.latched_until = wake
+                self.latch_released = self.latch_mshrs.released_total
+                self.latch_fails = len(replay)
+                self.latch_stalls = stalls
             return False
 
         chosen = self._scheduler.select(candidates, now)
         if chosen is None:
-            self._stats.idle_cycles += 1
+            stats.idle_cycles += 1
+            tel = self._telemetry
             if tel is not None:
                 tel.on_throttle(now)
             return False
@@ -366,15 +427,24 @@ class SMCore:
         if pending.remaining:
             self._replay.append(pending)
 
-    def _process_replay(self, now: int) -> None:
-        """Retry stalled loads in order; a stuck head does not starve the rest."""
-        for _ in range(len(self._replay)):
-            pending = self._replay[0]
+    def _process_replay(self, now: int) -> bool:
+        """Retry stalled loads in order; a stuck head does not starve the rest.
+
+        Returns True if any line request committed to the L1.
+        """
+        replay = self._replay
+        committed = False
+        for _ in range(len(replay)):
+            pending = replay[0]
+            before = len(pending.remaining)
             self._drain_pending(pending, now)
             if pending.remaining:
-                self._replay.rotate(-1)
+                committed |= len(pending.remaining) != before
+                replay.rotate(-1)
             else:
-                self._replay.popleft()
+                committed = True
+                replay.popleft()
+        return committed
 
     def _drain_pending(self, pending: _PendingLoad, now: int) -> None:
         """Send line requests to L1 until done or a reservation fails."""
@@ -485,6 +555,7 @@ class SMCore:
             raise AssertionError("memory completion underflow")
         if warp.outstanding == 0:
             warp.ready_at = max(warp.ready_at, when)
+            self.latched_until = 0
             tel = self._telemetry
             if tel is not None and tel.events:
                 tel.emit(
@@ -544,6 +615,14 @@ class SMCore:
             if pending.warp.finished:
                 violate(f"replay queue holds a load of finished warp "
                         f"{pending.warp.warp_id}")
+        if (self.latched_until > now
+                and self.latch_mshrs.released_total == self.latch_released):
+            lsu_blocked = len(self._replay) >= self.LSU_QUEUE_DEPTH
+            for w in self.warps:
+                if (w.is_ready(now)
+                        and not (lsu_blocked and self._is_mem_at[w.pc_index])):
+                    violate(f"latched until cycle {self.latched_until} but "
+                            f"warp {w.warp_id} can issue")
 
     def describe(self) -> dict:
         """JSON-ready snapshot of this SM (watchdog/invariant diagnostics)."""

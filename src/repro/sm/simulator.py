@@ -5,6 +5,14 @@ SM is stalled (all warps waiting on memory or dependent-issue delays) the
 clock jumps straight to the next wake-up, which makes memory-bound phases
 cheap to simulate without changing any observable timing.
 
+Ticks the clock does visit skip quiescent SMs. An SM whose last cycle
+offered no candidate and committed no replayed line is latched (see
+:mod:`repro.sm.pipeline`); until its next warp wake-up, an MSHR release on
+its L1, or a completion that readies one of its warps, each tick charges
+the latched counter increments instead of calling ``cycle()``, and
+fast-forwarding reuses the latched wake-up instead of rescanning warps.
+Statistics are bit-identical to cycling every SM on every tick.
+
 The loop is resumable: all progress lives in instance state (``_now`` and
 the component objects), so a run can be paused with :meth:`step_until`,
 serialised with :meth:`snapshot`, and continued bit-identically after
@@ -28,7 +36,7 @@ from repro.isa.program import KernelSpec
 from repro.mem.subsystem import MemorySubsystem
 from repro.prefetch.base import Prefetcher
 from repro.sched.base import WarpScheduler
-from repro.sm.pipeline import LoadObserver, SMCore
+from repro.sm.pipeline import NO_WAKE, LoadObserver, SMCore
 from repro.stats.counters import SimStats
 from repro.telemetry.hub import TelemetryHub
 
@@ -231,8 +239,21 @@ class GPUSimulator:
         events = self._subsystem.events
         events.run_until(now)
         issued_any = False
+        idle = fails = stalls = 0
         for sm in self._sms:
-            issued_any |= sm.cycle(now)
+            if (now < sm.latched_until
+                    and sm.latch_mshrs.released_total == sm.latch_released):
+                # Quiescent: charge what cycle(now) would, without it.
+                idle += 1
+                fails += sm.latch_fails
+                stalls += sm.latch_stalls
+            else:
+                issued_any |= sm.cycle(now)
+        if idle:
+            stats = self.stats
+            stats.idle_cycles += idle
+            stats.l1.reservation_fails += fails
+            stats.lsu_structural_stalls += stalls
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_tick(now)
@@ -265,7 +286,13 @@ class GPUSimulator:
         """Jump to the next cycle at which anything can happen."""
         wake: Optional[int] = self._subsystem.events.next_event_cycle
         for sm in self._sms:
-            hint = sm.next_wake_hint(now)
+            # A latch still set here was validated or armed this tick, so
+            # its wake-up is exactly what next_wake_hint(now) would return.
+            latched = sm.latched_until
+            if latched > now:
+                hint = None if latched == NO_WAKE else latched
+            else:
+                hint = sm.next_wake_hint(now)
             if hint is not None and (wake is None or hint < wake):
                 wake = hint
         if wake is None:

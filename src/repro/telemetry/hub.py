@@ -56,7 +56,22 @@ class SMTelemetry:
         self.stalls.on_throttle(self.sm_id, now)
 
 
-class TelemetryHub:  # simlint: boundary[epoch-serialized telemetry fan-in]
+class EventTarget:
+    """What the shared L2/DRAM emit into through their ``telemetry`` field.
+
+    The serial engine points that field at the :class:`TelemetryHub`; the
+    sharded engine points it at a capture sink that replays emissions at
+    the barrier. Both subclass this base, so the effect analysis resolves
+    the field to one named type and follows ``emit`` into every target.
+    """
+
+    __slots__ = ()
+
+    def emit(self, event: Any) -> None:
+        raise NotImplementedError
+
+
+class TelemetryHub(EventTarget):  # simlint: boundary[epoch-serialized telemetry fan-in]
     """Aggregates the stall engine, interval collector, and sinks."""
 
     def __init__(self, window: int = DEFAULT_WINDOW, trace: bool = False):

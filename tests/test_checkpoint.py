@@ -7,7 +7,13 @@ import pytest
 from conftest import make_config, mixed_kernel, streaming_kernel
 from repro.errors import CheckpointError, SimulationError
 from repro.experiments.configs import CONFIGS
-from repro.integrity.checkpoint import load_checkpoint, save_checkpoint
+from repro.integrity.checkpoint import (
+    CHECKPOINT_FORMAT,
+    dump_simulator,
+    load_checkpoint,
+    load_simulator,
+    save_checkpoint,
+)
 from repro.sm.simulator import GPUSimulator
 
 
@@ -52,6 +58,24 @@ class TestRoundTrip:
         first = GPUSimulator.restore(blob).run()
         second = GPUSimulator.restore(blob).run()
         assert first.stats == second.stats
+
+    def test_snapshot_while_latched_resumes_bit_identically(self):
+        """Quiescence latches are simulator state: a cut that lands while
+        SMs are latched must resume exactly where the latch left off."""
+        cfg = make_config(num_sms=2, mshrs=2)
+        reference = build("apres", streaming_kernel(10), cfg).run()
+        sim = build("apres", streaming_kernel(10), cfg)
+        while not sim.finished:
+            sim.step_until(sim.current_cycle + 1)
+            if any(sm.latched_until > sim.current_cycle for sm in sim.sms):
+                break
+        assert not sim.finished, "no cut point found with a latched SM"
+        restored = GPUSimulator.restore(sim.snapshot())
+        assert [sm.latched_until for sm in restored.sms] == [
+            sm.latched_until for sm in sim.sms]
+        resumed = restored.run()
+        assert resumed.stats == reference.stats
+        assert resumed.engine_events == reference.engine_events
 
     def test_snapshot_of_finished_run_replays_result(self):
         cfg = make_config()
@@ -102,6 +126,16 @@ class TestCheckpointFiles:
         path.write_bytes(pickle.dumps({"hello": "world"}))
         with pytest.raises(CheckpointError, match="not a repro checkpoint"):
             load_checkpoint(str(path))
+
+    def test_previous_format_rejected(self):
+        """Format-1 snapshots predate the SM latch and the LLT index."""
+        assert CHECKPOINT_FORMAT == 2
+        sim = build("apres", mixed_kernel(6), make_config())
+        sim.step_until(50)
+        payload = pickle.loads(dump_simulator(sim))
+        payload["format"] = 1
+        with pytest.raises(CheckpointError, match="format 1 unsupported"):
+            load_simulator(pickle.dumps(payload))
 
     def test_unpicklable_observer_raises_checkpoint_error(self):
         cfg = make_config()
