@@ -23,7 +23,7 @@ from repro.config import APRESConfig
 from repro.core.llt import LastLoadTable
 from repro.core.wgt import WarpGroupTable
 from repro.mem.request import LoadAccess
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler
 from repro.telemetry.events import SchedGroupEvent
 
 
@@ -79,12 +79,12 @@ class LAWSScheduler(WarpScheduler):
     # Scheduler interface
     # ------------------------------------------------------------------
 
-    def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
+    def select(self, offered: OfferedWarps, cycle: int) -> Optional[int]:
+        ready = offered.ready
+        if not ready:
             return None
-        ready = {c.warp_id for c in candidates}
         for wid in self._queue:
-            if wid in ready:
+            if ready >> wid & 1:
                 return wid
         return None
 

@@ -19,8 +19,9 @@ import pickle
 from repro.errors import CheckpointError
 
 #: Bump when the on-disk layout changes incompatibly. Format 2: SMs carry
-#: a quiescence latch and the Last Load Table an LLPC index.
-CHECKPOINT_FORMAT = 2
+#: a quiescence latch and the Last Load Table an LLPC index. Format 3:
+#: SMs keep their issuable warps as a ready mask and a wake heap.
+CHECKPOINT_FORMAT = 3
 
 _MAGIC = "repro-checkpoint"
 

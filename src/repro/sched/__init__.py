@@ -1,6 +1,6 @@
 """Warp schedulers: LRR baseline plus the techniques APRES is compared against."""
 
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler
 from repro.sched.cawa import CAWAScheduler
 from repro.sched.ccws import CCWSScheduler
 from repro.sched.gto import GTOScheduler
@@ -11,7 +11,7 @@ from repro.sched.registry import SCHEDULERS, make_scheduler
 from repro.sched.twolevel import TwoLevelScheduler
 
 __all__ = [
-    "IssueCandidate",
+    "OfferedWarps",
     "WarpScheduler",
     "CAWAScheduler",
     "CCWSScheduler",

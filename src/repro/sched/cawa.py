@@ -11,9 +11,9 @@ techniques APRES is positioned against).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler
 
 
 class CAWAScheduler(WarpScheduler):
@@ -33,12 +33,12 @@ class CAWAScheduler(WarpScheduler):
         """Instructions this warp trails the leader by (>= 0)."""
         return max(self._retired) - self._retired[warp_id]
 
-    def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
+    def select(self, offered: OfferedWarps, cycle: int) -> Optional[int]:
+        if not offered.ready:
             return None
-        # Most critical first; warp id breaks ties deterministically.
-        chosen = min(candidates, key=lambda c: (self._retired[c.warp_id], c.warp_id))
-        return chosen.warp_id
+        # Most critical first; ``min`` keeps the first of equals and the
+        # offered ids ascend, so the lowest warp id breaks ties.
+        return min(offered, key=self._retired.__getitem__)
 
     def notify_issue(self, warp_id: int, is_mem: bool, cycle: int) -> None:
         self._retired[warp_id] += 1

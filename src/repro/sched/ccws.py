@@ -11,10 +11,10 @@ set of warps competing for the cache.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.mem.victim import VictimTagArray
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler, first_warp_from
 
 
 class CCWSScheduler(WarpScheduler):
@@ -47,6 +47,8 @@ class CCWSScheduler(WarpScheduler):
         self._finished: set[int] = set()
         self._next = 0
         self._allowed_cache: Optional[set[int]] = None
+        #: ``_allowed_cache`` as a warp bitmask, rebuilt with it.
+        self._allowed_mask = 0
         self._allowed_cache_cycle = -1
         #: Cycles the allowed-set cache stays valid absent score changes.
         self._refresh_interval = 32
@@ -61,6 +63,7 @@ class CCWSScheduler(WarpScheduler):
         self._finished = set()
         self._next = 0
         self._allowed_cache = None
+        self._allowed_mask = 0
         self._allowed_cache_cycle = -1
 
     # ------------------------------------------------------------------
@@ -92,6 +95,7 @@ class CCWSScheduler(WarpScheduler):
             return self._allowed_cache
         allowed = self._compute_allowed(cycle)
         self._allowed_cache = allowed
+        self._allowed_mask = sum(1 << w for w in allowed)
         self._allowed_cache_cycle = cycle
         return allowed
 
@@ -112,25 +116,20 @@ class CCWSScheduler(WarpScheduler):
     # Scheduler interface
     # ------------------------------------------------------------------
 
-    def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
+    def select(self, offered: OfferedWarps, cycle: int) -> Optional[int]:
+        ready = offered.ready
+        if not ready:
             return None
-        allowed_loads = self.load_allowed_warps(cycle)
-        eligible = {
-            c.warp_id for c in candidates if not c.is_mem or c.warp_id in allowed_loads
-        }
+        self.load_allowed_warps(cycle)
+        eligible = ready & (~offered.mem | self._allowed_mask)
         self.events += 1
         if not eligible:
             return None
         # Round-robin among eligible warps: CCWS gates *which* warps may
         # issue loads; within that set it keeps the baseline's fairness.
-        n = self._num_warps
-        for offset in range(n):
-            wid = (self._next + offset) % n
-            if wid in eligible:
-                self._next = (wid + 1) % n
-                return wid
-        return None
+        wid = first_warp_from(eligible, self._next)
+        self._next = (wid + 1) % self._num_warps
+        return wid
 
     def notify_load_result(self, access) -> None:
         if access.primary_hit:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler, lowest_warp
 
 
 class GTOScheduler(WarpScheduler):
@@ -24,13 +24,14 @@ class GTOScheduler(WarpScheduler):
         super().reset(num_warps)
         self._current = None
 
-    def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
+    def select(self, offered: OfferedWarps, cycle: int) -> Optional[int]:
+        ready = offered.ready
+        if not ready:
             return None
-        ready = {c.warp_id for c in candidates}
-        if self._current in ready:
-            return self._current
-        oldest = min(ready)
+        current = self._current
+        if current is not None and ready >> current & 1:
+            return current
+        oldest = lowest_warp(ready)
         self._current = oldest
         return oldest
 

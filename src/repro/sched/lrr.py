@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler, first_warp_from
 
 
 class LRRScheduler(WarpScheduler):
@@ -25,14 +25,10 @@ class LRRScheduler(WarpScheduler):
         super().reset(num_warps)
         self._next = 0
 
-    def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
+    def select(self, offered: OfferedWarps, cycle: int) -> Optional[int]:
+        ready = offered.ready
+        if not ready:
             return None
-        ready = {c.warp_id for c in candidates}
-        n = self._num_warps
-        for offset in range(n):
-            wid = (self._next + offset) % n
-            if wid in ready:
-                self._next = (wid + 1) % n
-                return wid
-        return None
+        wid = first_warp_from(ready, self._next)
+        self._next = (wid + 1) % self._num_warps
+        return wid

@@ -10,9 +10,14 @@ Saturation is detected from L1 MSHR occupancy with hysteresis.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import (
+    OfferedWarps,
+    WarpScheduler,
+    first_warp_from,
+    lowest_warp,
+)
 
 
 class MASCARScheduler(WarpScheduler):
@@ -53,32 +58,28 @@ class MASCARScheduler(WarpScheduler):
             self._owner = None
             self._owner_busy = False
 
-    def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
+    def select(self, offered: OfferedWarps, cycle: int) -> Optional[int]:
+        ready = offered.ready
+        if not ready:
             return None
         self._update_saturation()
         if not self._saturated:
-            return self._round_robin(candidates)
+            wid = first_warp_from(ready, self._next)
+            self._next = (wid + 1) % self._num_warps
+            return wid
 
-        mem = sorted(c.warp_id for c in candidates if c.is_mem)
-        compute = sorted(c.warp_id for c in candidates if not c.is_mem)
-        if self._owner is None or (self._owner not in mem and not self._owner_busy):
-            self._owner = mem[0] if mem else None
+        mem = ready & offered.mem
+        compute = ready ^ mem
+        owner = self._owner
+        owner_ready = owner is not None and mem >> owner & 1
+        if owner is None or (not owner_ready and not self._owner_busy):
+            owner = self._owner = lowest_warp(mem) if mem else None
+            owner_ready = owner is not None
         # Owner's memory work leads; everyone else may only compute.
-        if self._owner is not None and self._owner in mem:
-            return self._owner
+        if owner_ready:
+            return owner
         if compute:
-            return compute[0]
-        return None
-
-    def _round_robin(self, candidates: Sequence[IssueCandidate]) -> Optional[int]:
-        ready = {c.warp_id for c in candidates}
-        n = self._num_warps
-        for offset in range(n):
-            wid = (self._next + offset) % n
-            if wid in ready:
-                self._next = (wid + 1) % n
-                return wid
+            return lowest_warp(compute)
         return None
 
     def notify_issue(self, warp_id: int, is_mem: bool, cycle: int) -> None:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler, first_warp_from
 
 
 class TwoLevelScheduler(WarpScheduler):
@@ -26,6 +26,8 @@ class TwoLevelScheduler(WarpScheduler):
         self._active_group = 0
         self._next_in_group = 0
         self._groups: list[list[int]] = []
+        #: Per group, the bitmask of its members.
+        self._group_masks: list[int] = []
 
     def reset(self, num_warps: int) -> None:
         super().reset(num_warps)
@@ -36,6 +38,7 @@ class TwoLevelScheduler(WarpScheduler):
                 self._groups[wid % num_groups].append(wid)
             else:
                 self._groups[wid // self._group_size].append(wid)
+        self._group_masks = [sum(1 << w for w in group) for group in self._groups]
         self._active_group = 0
         self._next_in_group = 0
 
@@ -45,24 +48,22 @@ class TwoLevelScheduler(WarpScheduler):
             return warp_id % len(self._groups)
         return warp_id // self._group_size
 
-    def select(self, candidates: Sequence[IssueCandidate], cycle: int) -> Optional[int]:
-        if not candidates:
+    def select(self, offered: OfferedWarps, cycle: int) -> Optional[int]:
+        ready = offered.ready
+        if not ready:
             return None
-        ready = {c.warp_id for c in candidates}
         num_groups = len(self._groups)
         for g_offset in range(num_groups):
             gid = (self._active_group + g_offset) % num_groups
-            group = self._groups[gid]
-            if not group:
+            members = ready & self._group_masks[gid]
+            if not members:
                 continue
-            for w_offset in range(len(group)):
-                idx = (self._next_in_group + w_offset) % len(group)
-                wid = group[idx]
-                if wid in ready:
-                    if gid != self._active_group:
-                        self._active_group = gid
-                        self._next_in_group = 0
-                        idx = group.index(wid)
-                    self._next_in_group = (idx + 1) % len(group)
-                    return wid
+            # Members ascend by warp id, so the round-robin from position
+            # ``_next_in_group`` is a wrapping first-set-bit search from
+            # that member's id (every group starts at that position).
+            group = self._groups[gid]
+            wid = first_warp_from(members, group[self._next_in_group % len(group)])
+            self._active_group = gid
+            self._next_in_group = (group.index(wid) + 1) % len(group)
+            return wid
         return None

@@ -8,6 +8,20 @@ commit. The LSU reports each load's primary outcome back to the scheduler
 (the signal LAWS acts on) and to the prefetcher, whose candidates are
 issued into the L1 as prefetch fills.
 
+The set of issuable warps is kept incrementally instead of rescanned:
+
+* ``_ready`` — bitmask of warps that are not finished, have no request
+  outstanding and whose ``ready_at`` has passed;
+* ``_wake`` — heap of ``(ready_at, warp_id)`` for warps waiting only on
+  their ``ready_at`` (an ALU latency, a store slot, or the cycle after
+  their last fill); ``cycle(now)`` first moves every entry ``<= now``
+  into ``_ready``;
+* ``_mem`` — bitmask of warps whose next instruction is a load or store.
+
+So a cycle offers the scheduler ``_ready`` (less ``_mem`` while the LSU is
+blocked), charges ``(_ready & _mem).bit_count()`` structural stalls, and
+reads its next wake-up from the heap top, with no loop over the warps.
+
 A cycle that offers the scheduler no candidate and commits no replayed
 line *latches* the SM (:attr:`SMCore.latched_until`): until its next
 warp wake-up, a fill releasing an MSHR on its L1, or a completion that
@@ -18,18 +32,19 @@ instead of calling :meth:`SMCore.cycle`.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.config import GPUConfig
+from repro.errors import InvariantError, SimulationError
 from repro.isa.instructions import Instr, Op
 from repro.isa.program import KernelSpec
 from repro.mem.cache import AccessOutcome, L1Cache
 from repro.mem.request import LoadAccess
 from repro.mem.subsystem import MemorySubsystem
 from repro.prefetch.base import Prefetcher
-from repro.sched.base import IssueCandidate, WarpScheduler
+from repro.sched.base import OfferedWarps, WarpScheduler
 from repro.sm.warp import WarpContext
 from repro.stats.counters import SimStats
 from repro.telemetry.events import (
@@ -48,19 +63,6 @@ LoadObserver = Callable[[LoadAccess, list[bool]], None]
 #: ``latched_until`` of a latched SM that no warp wake-up can end: only a
 #: completion or an MSHR release can.
 NO_WAKE = 1 << 62
-
-
-@functools.lru_cache(maxsize=None)
-def _candidate_table(num_warps: int) -> tuple[tuple[IssueCandidate, IssueCandidate], ...]:
-    """Prebuilt ``IssueCandidate`` pairs, indexed ``[warp_id][is_mem]``.
-
-    Candidates are immutable, so every SM with the same warp count shares
-    one table and the issue scan allocates nothing per offered warp.
-    """
-    return tuple(
-        (IssueCandidate(w, False), IssueCandidate(w, True))
-        for w in range(num_warps)
-    )
 
 
 class _WarpMemDone:
@@ -123,7 +125,10 @@ class SMCore:
         "mem_requests_completed",
         "load_observers",
         "_telemetry",
-        "_candidates",
+        "_ready",
+        "_wake",
+        "_mem",
+        "_offered",
         "latch_mshrs",
         "latched_until",
         "latch_released",
@@ -177,7 +182,13 @@ class SMCore:
         #: Per-SM telemetry proxy; ``None`` (the default) keeps the issue
         #: loop's instrumentation to one identity test per cycle.
         self._telemetry = None
-        self._candidates = _candidate_table(len(self.warps))
+        #: Issue state (module docstring): every warp starts ready at
+        #: cycle 0 on the kernel's first instruction.
+        self._ready = (1 << len(self.warps)) - 1
+        self._wake: list[tuple[int, int]] = []
+        self._mem = self._ready if self._is_mem_at[0] else 0
+        #: The one object :meth:`cycle` hands to ``scheduler.select``.
+        self._offered = OfferedWarps()
         self.latch_mshrs = l1.mshrs
         #: Quiescence latch, armed by an inert :meth:`cycle`: before this
         #: cycle, while ``latch_mshrs.released_total`` still equals
@@ -218,13 +229,14 @@ class SMCore:
         Warps stalled on memory (or loads parked in the replay queue) wake
         through fill events, so they contribute no hint.
         """
-        hint: Optional[int] = None
-        for w in self.warps:
-            if w.finished or w.outstanding:
-                continue
-            if w.ready_at > now and (hint is None or w.ready_at < hint):
-                hint = w.ready_at
-        return hint
+        wake = self._wake
+        if not wake:
+            return None
+        first = wake[0][0]
+        if first > now:
+            return first
+        # Entries due by ``now`` are drained by the next cycle(); skip them.
+        return min((t for t, _ in wake if t > now), default=None)
 
     def next_issuable_hint(self, now: int) -> Optional[int]:
         """Earliest wake-up that could actually *issue*, LSU permitting.
@@ -240,55 +252,42 @@ class SMCore:
         """
         if len(self._replay) < self.LSU_QUEUE_DEPTH:
             return self.next_wake_hint(now)
-        hint: Optional[int] = None
-        is_mem_at = self._is_mem_at
-        for w in self.warps:
-            if w.finished or w.outstanding or is_mem_at[w.pc_index]:
-                continue
-            if w.ready_at > now and (hint is None or w.ready_at < hint):
-                hint = w.ready_at
-        return hint
+        mem = self._mem
+        return min((t for t, w in self._wake if t > now and not mem >> w & 1),
+                   default=None)
 
     def has_pending_work(self, now: int) -> bool:
         """True when :meth:`cycle` at ``now`` could do more than count idle.
 
         Exactly the condition under which ``cycle(now)`` mutates anything
-        besides ``idle_cycles``: a parked load to retry, or a warp that
-        enters the candidate scan (even if it only charges an LSU
-        structural stall). The sharded engine's lock-step mode uses this
-        to skip inert SMs while reproducing the serial engine's counters
-        bit-for-bit. The serial engine skips a wider set — SMs that only
-        retry failing reservations or charge structural stalls too — by
-        the quiescence latch (:attr:`latched_until`).
+        besides ``idle_cycles``: a parked load to retry, or a ready warp
+        (even if it only charges an LSU structural stall). The sharded
+        engine's lock-step mode uses this to skip inert SMs while
+        reproducing the serial engine's counters bit-for-bit. The serial
+        engine skips a wider set — SMs that only retry failing
+        reservations or charge structural stalls too — by the quiescence
+        latch (:attr:`latched_until`).
         """
-        if self._replay:
-            return True
-        for w in self.warps:
-            if not w.finished and not w.outstanding and w.ready_at <= now:
-                return True
-        return False
+        wake = self._wake
+        return bool(self._replay or self._ready or (wake and wake[0][0] <= now))
 
     def pending_work_or_hint(self, now: int) -> tuple[bool, Optional[int]]:
-        """``(has_pending_work(now), wake hint)`` in a single warp scan.
+        """``(has_pending_work(now), wake hint)`` in one call.
 
         The hint is only produced on the ``False`` branch (it is exactly
         :meth:`next_wake_hint`, and — the replay queue being empty —
         also :meth:`next_issuable_hint`); when there *is* pending work
-        the scan stops early and the hint is ``None``. Saves the sharded
-        lane a second full scan on event-only ticks.
+        the hint is ``None``.
         """
-        if self._replay:
+        if self._replay or self._ready:
             return True, None
-        hint: Optional[int] = None
-        for w in self.warps:
-            if w.finished or w.outstanding:
-                continue
-            ready_at = w.ready_at
-            if ready_at <= now:
-                return True, None
-            if hint is None or ready_at < hint:
-                hint = ready_at
-        return False, hint
+        wake = self._wake
+        if not wake:
+            return False, None
+        first = wake[0][0]
+        if first <= now:
+            return True, None
+        return False, first
 
     # ------------------------------------------------------------------
     # Cycle loop
@@ -297,33 +296,24 @@ class SMCore:
     def cycle(self, now: int) -> bool:
         """Advance one cycle; returns True if an instruction was issued."""
         self.latched_until = 0
+        wake = self._wake
+        ready = self._ready
+        while wake and wake[0][0] <= now:
+            ready |= 1 << heappop(wake)[1]
+        self._ready = ready
         replay = self._replay
         committed = self._process_replay(now) if replay else False
-        lsu_blocked = len(replay) >= self.LSU_QUEUE_DEPTH
         stats = self._stats
 
-        candidates = []
-        append = candidates.append
-        table = self._candidates
-        is_mem_at = self._is_mem_at
+        offer = ready
         stalls = 0
-        wake = NO_WAKE
-        for w in self.warps:
-            if w.finished or w.outstanding:
-                continue
-            ready_at = w.ready_at
-            if ready_at > now:
-                if ready_at < wake:
-                    wake = ready_at
-                continue
-            is_mem = is_mem_at[w.pc_index]
-            if is_mem and lsu_blocked:
-                stalls += 1
-                continue
-            append(table[w.warp_id][is_mem])
-        if stalls:
-            stats.lsu_structural_stalls += stalls
-        if not candidates:
+        if len(replay) >= self.LSU_QUEUE_DEPTH:
+            blocked = ready & self._mem
+            if blocked:
+                offer ^= blocked
+                stalls = blocked.bit_count()
+                stats.lsu_structural_stalls += stalls
+        if not offer:
             stats.idle_cycles += 1
             tel = self._telemetry
             if tel is not None:
@@ -331,20 +321,42 @@ class SMCore:
             elif not committed:
                 # Inert: nothing this cycle did can differ next cycle
                 # until a warp wakes or a fill lands (see module docstring).
-                self.latched_until = wake
+                self.latched_until = wake[0][0] if wake else NO_WAKE
                 self.latch_released = self.latch_mshrs.released_total
                 self.latch_fails = len(replay)
                 self.latch_stalls = stalls
             return False
 
-        chosen = self._scheduler.select(candidates, now)
+        offered = self._offered
+        offered.ready = offer
+        offered.mem = self._mem
+        chosen = self._scheduler.select(offered, now)
         if chosen is None:
             stats.idle_cycles += 1
             tel = self._telemetry
             if tel is not None:
                 tel.on_throttle(now)
             return False
+        if chosen < 0 or not offer >> chosen & 1:
+            raise SimulationError(
+                f"SM {self.sm_id}: scheduler {self._scheduler.name!r} picked "
+                f"warp {chosen!r} at cycle {now}, which was not offered",
+                details={"cycle": now, "sm": self.sm_id, "chosen": chosen,
+                         "offered": list(offered)},
+            )
         warp = self.warps[chosen]
+        if warp.outstanding:
+            # Only corruption behind the pipeline's back gets here: the
+            # ready mask is maintained exactly as warps stall and wake.
+            raise InvariantError(
+                f"SM {self.sm_id} invariant violated at cycle {now}: ready "
+                f"warp {chosen} outstanding count is "
+                f"{'negative' if warp.outstanding < 0 else 'nonzero'} "
+                f"({warp.outstanding})",
+                details={"cycle": now, "invariant": "ready mask vs outstanding",
+                         "sm": self.describe()},
+            )
+        self._ready = ready ^ (1 << chosen)
         self._issue(warp, warp.current_instr, now)
         return True
 
@@ -555,6 +567,8 @@ class SMCore:
             raise AssertionError("memory completion underflow")
         if warp.outstanding == 0:
             warp.ready_at = max(warp.ready_at, when)
+            if not warp.finished:
+                heappush(self._wake, (warp.ready_at, warp.warp_id))
             self.latched_until = 0
             tel = self._telemetry
             if tel is not None and tel.events:
@@ -565,9 +579,17 @@ class SMCore:
 
     def _finish_instruction(self, warp: WarpContext) -> None:
         warp.advance()
+        bit = 1 << warp.warp_id
+        if self._is_mem_at[warp.pc_index]:
+            self._mem |= bit
+        else:
+            self._mem &= ~bit
         if warp.finished:
             self._finished_warps += 1
             self._scheduler.notify_warp_finished(warp.warp_id)
+        elif not warp.outstanding:
+            # An ALU op or a store: the warp waits only on ``ready_at``.
+            heappush(self._wake, (warp.ready_at, warp.warp_id))
 
     # ------------------------------------------------------------------
     # Integrity
@@ -579,7 +601,6 @@ class SMCore:
         Raises :class:`InvariantError` with a structured snapshot on the
         first violation.
         """
-        from repro.errors import InvariantError
 
         def violate(message: str) -> None:
             raise InvariantError(
@@ -615,6 +636,7 @@ class SMCore:
             if pending.warp.finished:
                 violate(f"replay queue holds a load of finished warp "
                         f"{pending.warp.warp_id}")
+        self._check_issue_state(now, violate)
         if (self.latched_until > now
                 and self.latch_mshrs.released_total == self.latch_released):
             lsu_blocked = len(self._replay) >= self.LSU_QUEUE_DEPTH
@@ -623,6 +645,45 @@ class SMCore:
                         and not (lsu_blocked and self._is_mem_at[w.pc_index])):
                     violate(f"latched until cycle {self.latched_until} but "
                             f"warp {w.warp_id} can issue")
+
+    def _check_issue_state(self, now: int, violate: Callable[[str], None]) -> None:
+        """Cross-check ``_ready``, ``_wake`` and ``_mem`` against a warp scan.
+
+        Heap entries already due (``<= now``) are legal: ``cycle()``
+        drains them before it reads the mask, and an SM that is not
+        cycled on every tick (latched, or a shard lane jumping ahead)
+        holds them until its next cycle.
+        """
+        ready = self._ready
+        if ready >> len(self.warps):
+            violate(f"ready mask {ready:#x} names warps beyond "
+                    f"the {len(self.warps)} contexts")
+        waiting: dict[int, int] = {}
+        for ready_at, wid in self._wake:
+            if wid in waiting or ready >> wid & 1:
+                violate(f"warp {wid} is queued twice across the ready mask "
+                        f"and wake heap")
+            waiting[wid] = ready_at
+        mem = 0
+        for w in self.warps:
+            wid = w.warp_id
+            if self._is_mem_at[w.pc_index]:
+                mem |= 1 << wid
+            in_ready = ready >> wid & 1
+            if w.finished or w.outstanding:
+                if in_ready or wid in waiting:
+                    violate(f"warp {wid} is finished or waiting on memory but "
+                            f"sits in the {'ready mask' if in_ready else 'wake heap'}")
+            elif in_ready:
+                if w.ready_at > now:
+                    violate(f"warp {wid} is in the ready mask but ready only "
+                            f"at cycle {w.ready_at}")
+            elif waiting.get(wid) != w.ready_at:
+                violate(f"issuable warp {wid} (ready at {w.ready_at}) has wake "
+                        f"entry {waiting.get(wid)} and no ready bit")
+        if mem != self._mem:
+            violate(f"memory-op mask {self._mem:#x} disagrees with the warps' "
+                    f"next instructions ({mem:#x})")
 
     def describe(self) -> dict:
         """JSON-ready snapshot of this SM (watchdog/invariant diagnostics)."""

@@ -257,7 +257,7 @@ class GPUSimulator:
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_tick(now)
-        if all(sm.done for sm in self._sms) and not len(events):
+        if not len(events) and all(sm.done for sm in self._sms):
             self._now = now + 1
             self._prev_cycle = now
             self._finished = True

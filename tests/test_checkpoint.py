@@ -128,14 +128,17 @@ class TestCheckpointFiles:
             load_checkpoint(str(path))
 
     def test_previous_format_rejected(self):
-        """Format-1 snapshots predate the SM latch and the LLT index."""
-        assert CHECKPOINT_FORMAT == 2
+        """Format-1 snapshots predate the SM latch and the LLT index;
+        format-2 ones predate the SM ready mask and wake heap."""
+        assert CHECKPOINT_FORMAT == 3
         sim = build("apres", mixed_kernel(6), make_config())
         sim.step_until(50)
         payload = pickle.loads(dump_simulator(sim))
-        payload["format"] = 1
-        with pytest.raises(CheckpointError, match="format 1 unsupported"):
-            load_simulator(pickle.dumps(payload))
+        for old_format in (1, 2):
+            payload["format"] = old_format
+            with pytest.raises(CheckpointError,
+                               match=f"format {old_format} unsupported"):
+                load_simulator(pickle.dumps(payload))
 
     def test_unpicklable_observer_raises_checkpoint_error(self):
         cfg = make_config()

@@ -2,7 +2,7 @@
 
 from repro.core.laws import LAWSScheduler
 from repro.mem.request import LoadAccess
-from repro.sched.base import IssueCandidate
+from repro.sched.base import OfferedWarps
 
 
 def result(warp, pc, hit, addr=0x1000, cycle=0):
@@ -16,7 +16,7 @@ def make(n=6):
 
 
 def cands(*warps, mem=False):
-    return [IssueCandidate(w, mem) for w in warps]
+    return OfferedWarps.of(warps, warps if mem else ())
 
 
 class TestSelection:
@@ -30,7 +30,7 @@ class TestSelection:
         assert s.select(cands(4, 5), 0) == 4
 
     def test_empty(self):
-        assert make().select([], 0) is None
+        assert make().select(OfferedWarps(), 0) is None
 
 
 class TestGrouping:

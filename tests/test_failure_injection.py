@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_config, mixed_kernel, streaming_kernel
 from repro.config import CacheConfig, DRAMConfig
+from repro.errors import SimulationError, WatchdogTimeout
 from repro.mem.request import LoadAccess
 from repro.prefetch.base import Prefetcher, PrefetchCandidate
 from repro.prefetch.none import NullPrefetcher
@@ -48,7 +49,7 @@ class AdversarialScheduler(LRRScheduler):
     def select(self, candidates, cycle):
         if not candidates:
             return None
-        return max(c.warp_id for c in candidates)
+        return max(candidates)
 
 
 class TestHostilePrefetchers:
@@ -94,6 +95,20 @@ class TestHostileSchedulers:
         # surfaces it as an exception rather than silently mis-executing.
         with pytest.raises(Exception):
             simulate(kernel, make_config(max_warps=2), lambda: (Liar(), NullPrefetcher()))
+
+    def test_pick_of_a_stalled_warp_is_rejected_at_once(self):
+        class StaleLiar(LRRScheduler):
+            def select(self, candidates, cycle):
+                return 1  # in range, but not offered once warp 1 stalls
+
+        # Warp 1 issues a load at cycle 0 and waits on it; picking it at
+        # cycle 1 must fail on the spot, not run to the watchdog.
+        with pytest.raises(SimulationError, match="not offered") as excinfo:
+            simulate(mixed_kernel(2), make_config(max_warps=2),
+                     lambda: (StaleLiar(), NullPrefetcher()))
+        assert not isinstance(excinfo.value, WatchdogTimeout)
+        assert excinfo.value.details["cycle"] == 1
+        assert excinfo.value.details["offered"] == [0]
 
 
 class TestDegenerateConfigurations:

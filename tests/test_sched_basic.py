@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sched.base import IssueCandidate
+from repro.sched.base import OfferedWarps
 from repro.sched.gto import GTOScheduler
 from repro.sched.lrr import LRRScheduler
 from repro.sched.pa import PAScheduler
@@ -11,7 +11,7 @@ from repro.sched.twolevel import TwoLevelScheduler
 
 
 def cands(*warp_ids, mem=False):
-    return [IssueCandidate(w, mem) for w in warp_ids]
+    return OfferedWarps.of(warp_ids, warp_ids if mem else ())
 
 
 class TestLRR:
@@ -37,7 +37,7 @@ class TestLRR:
     def test_empty_returns_none(self):
         s = LRRScheduler()
         s.reset(4)
-        assert s.select([], 0) is None
+        assert s.select(OfferedWarps(), 0) is None
 
     def test_fairness_over_window(self):
         s = LRRScheduler()

@@ -3,12 +3,12 @@
 from conftest import make_config, streaming_kernel
 from repro.prefetch.none import NullPrefetcher
 from repro.sched.cawa import CAWAScheduler
-from repro.sched.base import IssueCandidate
+from repro.sched.base import OfferedWarps
 from repro.sm.simulator import simulate
 
 
 def cands(*warps):
-    return [IssueCandidate(w, False) for w in warps]
+    return OfferedWarps.of(warps)
 
 
 def make(n=4):
@@ -30,7 +30,7 @@ class TestSelection:
         assert s.select(cands(3, 1), 0) == 1
 
     def test_empty(self):
-        assert make().select([], 0) is None
+        assert make().select(OfferedWarps(), 0) is None
 
     def test_criticality_metric(self):
         s = make()

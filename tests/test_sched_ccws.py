@@ -1,7 +1,7 @@
 """CCWS: lost-locality scoring, throttling and eviction feedback."""
 
 from repro.mem.request import LoadAccess
-from repro.sched.base import IssueCandidate
+from repro.sched.base import OfferedWarps
 from repro.sched.ccws import CCWSScheduler
 
 
@@ -97,7 +97,7 @@ class TestThrottling:
             s.notify_load_result(miss(w, w * 128, cycle=1))
         allowed = s.load_allowed_warps(2)
         blocked = next(w for w in range(4) if w not in allowed)
-        picked = s.select([IssueCandidate(blocked, False)], 2)
+        picked = s.select(OfferedWarps.of([blocked]), 2)
         assert picked == blocked
 
     def test_blocked_warp_cannot_issue_load(self):
@@ -110,7 +110,7 @@ class TestThrottling:
         allowed = s.load_allowed_warps(2)
         blocked = [w for w in range(4) if w not in allowed]
         if blocked:
-            assert s.select([IssueCandidate(blocked[0], True)], 2) is None
+            assert s.select(OfferedWarps.of(blocked[:1], mem=blocked[:1]), 2) is None
 
     def test_finished_warps_release_quota(self):
         s = make(num_warps=4)
@@ -122,10 +122,10 @@ class TestThrottling:
 class TestSelection:
     def test_round_robin_among_eligible(self):
         s = make(num_warps=4)
-        c = [IssueCandidate(w, False) for w in range(4)]
+        c = OfferedWarps.of(range(4))
         picks = [s.select(c, t) for t in range(4)]
         assert picks == [0, 1, 2, 3]
 
     def test_empty_candidates(self):
         s = make()
-        assert s.select([], 0) is None
+        assert s.select(OfferedWarps(), 0) is None

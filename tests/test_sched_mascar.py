@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sched.base import IssueCandidate
+from repro.sched.base import OfferedWarps
 from repro.sched.mascar import MASCARScheduler
 
 
@@ -22,11 +22,11 @@ def make(sat_on=0.9, sat_off=0.5):
 
 
 def mem(*warps):
-    return [IssueCandidate(w, True) for w in warps]
+    return OfferedWarps.of(warps, warps)
 
 
 def compute(*warps):
-    return [IssueCandidate(w, False) for w in warps]
+    return OfferedWarps.of(warps)
 
 
 class TestSaturationDetection:
